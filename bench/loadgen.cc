@@ -39,10 +39,9 @@
 //           [--json=BENCH_net_shards.json] [--gate] [--min-scaling=2.5]
 //           [--max-fsyncs-per-batch=0.5]
 //
-// boots one single-tenant server per listed shard count (each running
-// the production default for that count: fsync-per-batch at 1 shard,
-// group commit above, DurableStore under --sweep-store), drives the
-// same saturating open-loop stream at each point, and emits
+// boots one single-tenant server per listed shard count (every shard
+// commits through group commit; DurableStore under --sweep-store),
+// drives the same saturating open-loop stream at each point, and emits
 // throughput-vs-shard-count plus fsyncs-per-committed-batch. With
 // --gate the run fails unless last/first throughput >= --min-scaling
 // and the largest point's fsyncs/batch < --max-fsyncs-per-batch (the
@@ -656,10 +655,10 @@ struct SweepPoint {
 };
 
 /// Shard-sweep mode: boots one in-process single-tenant server per shard
-/// count (production defaults per count: fsync-per-batch at 1 shard,
-/// group commit above; DurableStore under --sweep-store), drives the
-/// identical saturating open-loop stream at each point, and gates the
-/// throughput scaling plus the fsyncs-per-committed-batch amortization.
+/// count (every shard commits through group commit; DurableStore under
+/// --sweep-store), drives the identical saturating open-loop stream at
+/// each point, and gates the throughput scaling plus the
+/// fsyncs-per-committed-batch amortization.
 int RunShardSweep(int argc, char** argv) {
   const std::vector<int> sweep =
       ParseIntList(FlagValue(argc, argv, "sweep-shards"));
@@ -716,13 +715,12 @@ int RunShardSweep(int argc, char** argv) {
     spec.depts = opt.traffic.depts;
     spec.store_root = store_base + "/s" + std::to_string(shards);
     spec.shards = shards;
-    // Each point runs the production default for its shard count (the
-    // same rule relview_serve applies): the 1-shard baseline is the
-    // status-quo fsync-per-batch write path, multi-shard points get the
-    // cross-batch group commit that ships with sharding. The sweep
-    // therefore measures the feature's before/after, not group commit
-    // in isolation.
-    spec.group_commit = shards > 1;
+    // Every point commits through group commit, the one write path. The
+    // 1-shard baseline runs without a gathering window, as relview_serve
+    // does by default; multi-shard points add the window so concurrent
+    // batches on a shard share one fsync. The sweep therefore measures
+    // sharding plus cohort amortization against the unsharded service as
+    // served.
     spec.group_window_us = shards > 1 ? group_window_us : 0;
     auto tenants = net::MakeTenants(spec);
     if (!tenants.ok()) {

@@ -15,15 +15,13 @@
 //   row <val> <val> ...               add a database row (over U)
 //   load <file>                       load rows from a delimited file
 //                                     (header must name the attributes)
-//   journal <file>                    write-ahead journal accepted updates
-//                                     to <file>; existing records replay
-//                                     on 'bind' (set before 'bind')
-//   datadir <dir> [every [rotate]]    crash-safe store instead of a single
-//                                     journal file: rotated segments +
-//                                     checkpoints under <dir>; auto-
-//                                     checkpoint every <every> records
-//                                     (default 1024), rotate segments at
-//                                     <rotate> records (default 4096).
+//   datadir <dir> [every [rotate]]    write-ahead journal accepted updates
+//                                     to a crash-safe store: rotated
+//                                     segments + checkpoints under <dir>;
+//                                     auto-checkpoint every <every>
+//                                     records (default 1024), rotate
+//                                     segments at <rotate> records
+//                                     (default 4096).
 //                                     Set before 'bind'; 'bind' recovers
 //   checkpoint                        force a checkpoint of the committed
 //                                     state now (then compact segments)
@@ -33,7 +31,7 @@
 //                                     recovery path did
 //   failpoint <name> <spec>           arm a fault-injection point (see
 //                                     docs/OPERATIONS.md), e.g.
-//                                     'failpoint journal.fsync error@2';
+//                                     'failpoint commit.fsync error@2';
 //                                     'failpoint list' / 'failpoint clear'
 //   bind                              validate Sigma and start translating
 //   insert <val> ...                  insert a view tuple (over X)
@@ -127,7 +125,6 @@ class Shell {
     if (cmd == "complement") return CmdComplement(rest);
     if (cmd == "row") return CmdRow(tok);
     if (cmd == "load") return CmdLoad(rest);
-    if (cmd == "journal") return CmdJournal(rest);
     if (cmd == "datadir") return CmdDataDir(tok);
     if (cmd == "checkpoint") return CmdCheckpoint();
     if (cmd == "recover") return CmdRecover();
@@ -221,18 +218,6 @@ class Shell {
     for (const Tuple& r : table.relation.rows()) rows_.push_back(r);
     std::printf("  loaded %d rows (%zu staged)\n", table.relation.size(),
                 rows_.size());
-    return Status::OK();
-  }
-
-  Status CmdJournal(const std::string& path) {
-    if (path.empty()) return Status::InvalidArgument("usage: journal <file>");
-    if (service_) {
-      return Status::FailedPrecondition(
-          "set the journal before 'bind' (it replays onto the seed rows)");
-    }
-    journal_path_ = path;
-    std::printf("  journaling accepted updates to %s (replayed on bind)\n",
-                path.c_str());
     return Status::OK();
   }
 
@@ -336,7 +321,6 @@ class Shell {
     RELVIEW_RETURN_IF_ERROR(vt.Bind(std::move(db)));
     const bool good = vt.complement_is_good();
     ServiceOptions options;
-    options.journal_path = journal_path_;
     options.store = store_opts_;
     RELVIEW_ASSIGN_OR_RETURN(service_,
                              UpdateService::Create(std::move(vt), options));
@@ -585,7 +569,6 @@ class Shell {
   AttrSet x_, y_;
   ValuePool pool_;
   std::vector<Tuple> rows_;
-  std::string journal_path_;
   StoreOptions store_opts_;
   std::unique_ptr<UpdateService> service_;
   std::optional<std::vector<ViewUpdate>> batch_;
@@ -595,7 +578,7 @@ class Shell {
 
 int main() {
   // Operators can pre-arm fault injection, e.g.
-  //   RELVIEW_FAILPOINTS="journal.fsync=error@2" ./view_shell
+  //   RELVIEW_FAILPOINTS="commit.fsync=error@2" ./view_shell
   Status fp = Failpoints::InstallFromEnv();
   if (!fp.ok()) {
     std::fprintf(stderr, "RELVIEW_FAILPOINTS: %s\n", fp.ToString().c_str());

@@ -670,9 +670,11 @@ std::string HttpServer::HandleBatchInner(const HttpRequest& req,
   ev->detail = result.status.message();
   const StatusCode code = result.status.code();
   if (code == StatusCode::kInternal || code == StatusCode::kCorruption) {
-    // Durability failure (journal append/fsync, store rotation): the batch
-    // was rolled back and nothing was acked. 503 so clients retry against
-    // a recovered process rather than treating it as a semantic verdict.
+    // Durability failure (journal append/fsync, store rotation): nothing
+    // was acked or published. A failed fsync also poisons the shard's
+    // store until the process restarts and recovers it. 503 so clients
+    // retry against a recovered process rather than treating it as a
+    // semantic verdict.
     metrics_.RecordRefusal(RefusalKind::kDurability);
     metrics_.RecordResponse(503);
     ev->http_status = 503;

@@ -49,7 +49,6 @@ Result<TenantSet> MakeTenants(const TenantSpec& spec) {
     if (!spec.store_root.empty()) {
       options.store_root = spec.store_root + "/" + name;
       options.checkpoint_every = spec.checkpoint_every;
-      options.group_commit = spec.group_commit;
       options.group_window_us = spec.group_window_us;
       options.commit_stall_ms = spec.commit_stall_ms;
     }

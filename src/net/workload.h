@@ -62,9 +62,6 @@ struct TenantSpec {
   /// Write-path shards per tenant (>= 1). 1 preserves the unsharded
   /// semantics exactly (one UpdateService behind a degenerate router).
   int shards = 1;
-  /// Enable the per-shard cross-batch group-commit journal path (needs a
-  /// store_root; ignored in-memory).
-  bool group_commit = false;
   /// Leader gathering window forwarded to ServiceOptions::group_window_us.
   uint32_t group_window_us = 0;
   /// Group-commit stall watchdog forwarded to

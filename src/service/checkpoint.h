@@ -23,10 +23,10 @@
 ///
 /// Each repeated value costs one small code integer instead of a full raw
 /// id, so columnar checkpoints shrink with duplication the way the
-/// in-memory columnar store does. Readers auto-detect the magic, so a
-/// store can switch formats (StoreOptions::columnar_checkpoints) without
-/// migration: old checkpoints keep recovering, new ones are written in
-/// the new format.
+/// in-memory columnar store does. DurableStore writes the row format;
+/// readers auto-detect the magic, so a store directory holding rvckpt2
+/// files (written by WriteCheckpoint with CheckpointFormat::kColumnar)
+/// keeps recovering.
 ///
 /// <seq> is the number of journal records the snapshot covers (i.e. the
 /// state equals seed + the first <seq> journaled updates), and <fnv64-hex>

@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/small_util.h"
-#include "view/translator.h"
 
 namespace relview {
 namespace {
@@ -211,16 +210,12 @@ Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status Journal::Append(const ViewUpdate& u) {
-  return AppendAll({u});
-}
-
 Status Journal::RollBackTo(off_t batch_start, Status cause) {
-  // Undo the partially persisted batch: O_APPEND keeps writing at EOF,
-  // so a torn record left behind would silently orphan every later
+  // Undo the partially written batch: O_APPEND keeps writing at EOF, so
+  // a torn record left behind would silently orphan every later
   // committed batch at replay (Read stops at the first bad record), and
-  // a fully written but un-fsync'd batch would replay as accepted after
-  // the service rolled it back in memory.
+  // the records the write did complete would replay as accepted after
+  // the service rolled the batch back in memory.
   if (::ftruncate(fd_, batch_start) == 0 && ::fsync(fd_) == 0) {
     return cause;
   }
@@ -232,14 +227,6 @@ Status Journal::RollBackTo(off_t batch_start, Status cause) {
                           std::to_string(batch_start) + " failed (" +
                           std::strerror(errno) +
                           "), journal poisoned until reopen");
-}
-
-Status Journal::AppendAll(const std::vector<ViewUpdate>& updates) {
-  return AppendRecords(updates, /*sync=*/true);
-}
-
-Status Journal::AppendAllUnsynced(const std::vector<ViewUpdate>& updates) {
-  return AppendRecords(updates, /*sync=*/false);
 }
 
 Status Journal::Sync() {
@@ -263,13 +250,13 @@ Status Journal::Sync() {
     // reopen instead (fsyncgate semantics).
     poisoned_.store(true, std::memory_order_release);
     unsynced_bytes_.fetch_add(claimed, std::memory_order_relaxed);
-    return Status::Internal("journal group-commit fsync failed: injected "
-                            "EIO; journal poisoned until reopen");
+    return Status::Internal("journal fsync failed: injected EIO; journal "
+                            "poisoned until reopen");
   }
   if (::fsync(fd_) != 0) {
     poisoned_.store(true, std::memory_order_release);
     unsynced_bytes_.fetch_add(claimed, std::memory_order_relaxed);
-    return Status::Internal("journal group-commit fsync failed: " +
+    return Status::Internal("journal fsync failed: " +
                             std::string(std::strerror(errno)) +
                             "; journal poisoned until reopen");
   }
@@ -277,8 +264,7 @@ Status Journal::Sync() {
   return Status::OK();
 }
 
-Status Journal::AppendRecords(const std::vector<ViewUpdate>& updates,
-                              bool sync) {
+Status Journal::AppendAllUnsynced(const std::vector<ViewUpdate>& updates) {
   if (fd_ < 0) return Status::FailedPrecondition("journal not open");
   if (poisoned_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
@@ -336,21 +322,7 @@ Status Journal::AppendRecords(const std::vector<ViewUpdate>& updates,
                             "(torn tail kept, handle poisoned)");
   }
   RELVIEW_FAILPOINT("journal.crash_after_write");  // crash-armed only
-  if (!sync) {
-    unsynced_bytes_.fetch_add(block.size(), std::memory_order_relaxed);
-    return Status::OK();
-  }
-  Timer fsync_timer;
-  if (RELVIEW_FAILPOINT("journal.fsync")) {
-    return RollBackTo(batch_start,
-                      Status::Internal("journal fsync failed: injected EIO"));
-  }
-  if (::fsync(fd_) != 0) {
-    return RollBackTo(batch_start,
-                      Status::Internal("journal fsync failed: " +
-                                       std::string(std::strerror(errno))));
-  }
-  fsync_latency_->Record(fsync_timer.ElapsedNanos());
+  unsynced_bytes_.fetch_add(block.size(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -398,42 +370,6 @@ Result<JournalReadResult> Journal::Read(const std::string& path,
     }
   }
   return out;
-}
-
-Result<JournalReadResult> Journal::Replay(const std::string& path,
-                                          ViewTranslator* translator) {
-  if (translator == nullptr || !translator->bound()) {
-    return Status::FailedPrecondition(
-        "journal replay needs a translator bound to the seed instance");
-  }
-  RELVIEW_ASSIGN_OR_RETURN(JournalReadResult records, Read(path));
-  int index = 0;
-  for (const ViewUpdate& u : records.updates) {
-    Status st;
-    switch (u.kind) {
-      case UpdateKind::kInsert:
-        st = translator->Insert(u.t1);
-        break;
-      case UpdateKind::kDelete:
-        st = translator->Delete(u.t1);
-        break;
-      case UpdateKind::kReplace:
-        st = translator->Replace(u.t1, u.t2);
-        break;
-      case UpdateKind::kNumUpdateKinds:
-        st = Status::Internal("journal replay: sentinel update kind");
-        break;
-    }
-    if (!st.ok()) {
-      // A journaled update was accepted once; per fact (ii) its replay from
-      // the same seed must succeed. Rejection means journal/seed mismatch.
-      return Status::Internal(
-          "journal replay diverged at record " + std::to_string(index) +
-          " (" + u.ToString() + "): " + st.ToString());
-    }
-    ++index;
-  }
-  return records;
 }
 
 }  // namespace relview

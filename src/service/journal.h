@@ -1,8 +1,10 @@
 /// \file
 /// Journal: the service layer's write-ahead log. One text record per
 /// accepted view update, appended and fsync'd *before* the update is
-/// published, so that replaying the journal against the seed database
-/// deterministically reproduces the served state (sound because constant-
+/// published (the append and the fsync are separate calls, so one fsync
+/// can cover many appended batches), so that replaying the journal
+/// against the seed database deterministically reproduces the served
+/// state (sound because constant-
 /// complement translators are morphisms — fact (ii) of the Bancilhon–
 /// Spyratos framework: translations of a serialized update sequence
 /// compose).
@@ -24,9 +26,9 @@
 /// crash. Anything *after* the first bad record is dropped with it, since
 /// ordering is what makes replay sound.
 ///
-/// Journals are either standalone files (Open/Read/Replay below) or
-/// segments of a rotated log managed by DurableStore (recovery.h), which
-/// adds checkpoint-bounded replay and compaction on top of this format.
+/// A Journal handle is one segment of the rotated log managed by
+/// DurableStore (recovery.h), which adds checkpoint-bounded replay and
+/// compaction on top of this format.
 #ifndef RELVIEW_SERVICE_JOURNAL_H_
 #define RELVIEW_SERVICE_JOURNAL_H_
 
@@ -43,8 +45,6 @@
 #include "util/status.h"
 
 namespace relview {
-
-class ViewTranslator;
 
 /// FNV-1a 64-bit over `data`; the journal's record checksum.
 uint64_t JournalChecksum(const std::string& data);
@@ -92,7 +92,7 @@ class Journal {
   /// Path this journal appends to.
   const std::string& path() const { return path_; }
 
-  /// Per-fsync latency distribution (one sample per Append/AppendAll).
+  /// Per-fsync latency distribution (one sample per successful Sync).
   /// Held behind a shared_ptr so telemetry collectors survive Journal
   /// moves (the histogram itself is atomic and non-movable).
   std::shared_ptr<const LatencyHistogram> fsync_latency() const {
@@ -100,35 +100,27 @@ class Journal {
   }
 
   /// Bytes appended through AppendAllUnsynced that no successful Sync()
-  /// (or synced append) has covered yet — the data a crash right now
-  /// would lose without violating acked ⊆ recovered (the riders were
-  /// never acked). Relaxed atomic: scrape-safe from any thread.
+  /// has covered yet — the data a crash right now would lose without
+  /// violating acked ⊆ recovered (the riders were never acked). Relaxed
+  /// atomic: scrape-safe from any thread.
   uint64_t unsynced_bytes() const {
     return unsynced_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Appends one record and fsyncs.
-  Status Append(const ViewUpdate& u);
-
-  /// Appends all records with a single trailing fsync (group commit).
-  /// All-or-nothing on the file: a write or fsync failure truncates the
+  /// Appends all records WITHOUT an fsync: durability is deferred to a
+  /// later Sync(). This is the group-commit half-step: several batches
+  /// append, then one leader fsyncs for the whole cohort. Records
+  /// appended here must not be acknowledged until a Sync() covering them
+  /// returns OK. All-or-nothing on the file: a failed write truncates the
   /// file back to the pre-batch offset (and fsyncs the truncation), so a
-  /// torn or phantom record never outlives the error it reported. If
-  /// even the rollback fails, the handle *poisons* itself — every
-  /// subsequent append returns kFailedPrecondition until the journal is
-  /// reopened (which re-verifies and repairs the tail).
+  /// torn record never outlives the error it reported. If even the
+  /// rollback fails, the handle *poisons* itself — every subsequent
+  /// append returns kFailedPrecondition until the journal is reopened
+  /// (which re-verifies and repairs the tail).
   /// Failpoints: "journal.write" (error, or a short write that models a
   /// crash mid-append: the torn tail stays on disk and the handle is
   /// poisoned), "journal.crash_after_write" (crash between write and
-  /// fsync), "journal.fsync" (error, rolled back like a real one).
-  Status AppendAll(const std::vector<ViewUpdate>& updates);
-
-  /// Appends all records WITHOUT the trailing fsync: the bytes are written
-  /// (and a failed write is still rolled off the file, exactly as in
-  /// AppendAll) but durability is deferred to a later Sync(). This is the
-  /// group-commit half-step: several batches append, then one leader
-  /// fsyncs for the whole cohort. Records appended through this path must
-  /// not be acknowledged until a Sync() covering them returns OK.
+  /// fsync).
   Status AppendAllUnsynced(const std::vector<ViewUpdate>& updates);
 
   /// Fsyncs everything appended so far (the group-commit leader's half).
@@ -152,14 +144,6 @@ class Journal {
   static Result<JournalReadResult> Read(const std::string& path,
                                         bool repair = true);
 
-  /// Recovers state on startup: reads the journal and applies each record
-  /// to `translator` (which must be bound to the seed instance). Returns
-  /// kInternal if a journaled update no longer validates — an accepted
-  /// record must replay deterministically (fact (ii)), so a rejection
-  /// means the journal and seed have diverged; we refuse to guess.
-  static Result<JournalReadResult> Replay(const std::string& path,
-                                          ViewTranslator* translator);
-
  private:
   explicit Journal(std::string path, int fd) : path_(std::move(path)),
                                                fd_(fd) {}
@@ -168,10 +152,6 @@ class Journal {
   /// and returns `cause`; if the truncation itself fails, poisons the
   /// handle and reports that on top of `cause`.
   Status RollBackTo(off_t batch_start, Status cause);
-
-  /// Shared body of AppendAll / AppendAllUnsynced: encode, write, and
-  /// (when `sync` is set) fsync with rollback-on-failure.
-  Status AppendRecords(const std::vector<ViewUpdate>& updates, bool sync);
 
   std::string path_;
   int fd_ = -1;

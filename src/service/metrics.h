@@ -15,9 +15,9 @@
 /// sum-over-codes in an exported snapshot. The seqlock assumes a single
 /// writer at a time — recording methods that take a WriteScope are only
 /// called with the service's writer_mu_ held (or before the service is
-/// shared). Readers never block the writer; a reader that keeps losing
-/// races falls back to one relaxed-consistent pass after a bounded number
-/// of retries, so a scrape can degrade but never livelock.
+/// shared). Readers never block the writer; a reader retries (yielding
+/// between attempts) until it reads a stable, even sequence, so a consistent
+/// read is never torn.
 
 #ifndef RELVIEW_SERVICE_METRICS_H_
 #define RELVIEW_SERVICE_METRICS_H_
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "obs/histogram.h"
 #include "service/update.h"
@@ -150,14 +151,16 @@ class ServiceMetrics {
 
   /// Runs `fn` (a pure read of this object's counters returning a value)
   /// under the seqlock read protocol: retried until no WriteScope ran
-  /// concurrently, so the values `fn` read are mutually consistent. After
-  /// `kSeqlockMaxRetries` lost races it degrades to one relaxed-consistent
-  /// run rather than livelock behind a hot writer. `fn` may run while a
-  /// write is mid-flight (the torn result is discarded), so it must be
-  /// side-effect free.
+  /// concurrently, so the values `fn` read are mutually consistent. There
+  /// is no give-up path — a torn result is never returned. A lost race
+  /// yields the CPU before the retry, so a reader cannot starve the writer
+  /// whose scope it is waiting out (write scopes are a handful of relaxed
+  /// stores, and the single writer records between long stretches of
+  /// translation work). `fn` may run while a write is mid-flight (the torn
+  /// result is discarded), so it must be side-effect free.
   template <typename Fn>
   auto ReadConsistent(Fn&& fn) const -> decltype(fn()) {
-    for (int i = 0; i < kSeqlockMaxRetries; ++i) {
+    for (;; std::this_thread::yield()) {
       // Boehm's seqlock-reader recipe: acquire-load the sequence, do the
       // (relaxed) payload reads, then an acquire fence orders those reads
       // before the re-check of the sequence word.
@@ -167,7 +170,6 @@ class ServiceMetrics {
       std::atomic_thread_fence(std::memory_order_acquire);
       if (seq_.load(std::memory_order_relaxed) == s1) return result;
     }
-    return fn();
   }
 
   /// RAII seqlock write scope bracketing one multi-counter recording.
@@ -196,9 +198,6 @@ class ServiceMetrics {
   };
 
  private:
-  /// Seqlock read retries before degrading to a relaxed read.
-  static constexpr int kSeqlockMaxRetries = 64;
-
   std::array<std::atomic<uint64_t>, kKinds> accepted_{};
   std::array<std::atomic<uint64_t>, kKinds> rejected_{};
   std::array<std::atomic<uint64_t>, kStatusCodes> rejected_by_code_{};

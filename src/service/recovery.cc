@@ -268,27 +268,6 @@ Status DurableStore::OpenActiveSegment() {
   return Status::OK();
 }
 
-Status DurableStore::Append(const std::vector<ViewUpdate>& updates) {
-  if (!active_.has_value()) {
-    return Status::FailedPrecondition("durable store not open");
-  }
-  if (updates.empty()) return Status::OK();
-  if (segments_.back().records >= options_.rotate_records) {
-    RELVIEW_TRACE_SPAN("journal.rotate");
-    active_.reset();  // close the full segment; its records are fsync'd
-    const uint64_t cur = seq();
-    segments_.push_back(Segment{SegmentPath(cur), cur, 0});
-    SyncSegmentCount();
-    RELVIEW_ASSIGN_OR_RETURN(
-        Journal j, Journal::Open(segments_.back().path, fsync_latency_));
-    active_ = std::move(j);
-  }
-  RELVIEW_RETURN_IF_ERROR(active_->AppendAll(updates));
-  segments_.back().records += updates.size();
-  seq_.fetch_add(updates.size(), std::memory_order_relaxed);
-  return Status::OK();
-}
-
 Status DurableStore::AppendUnsynced(const std::vector<ViewUpdate>& updates) {
   if (!active_.has_value()) {
     return Status::FailedPrecondition("durable store not open");
@@ -351,9 +330,7 @@ Result<uint64_t> DurableStore::WriteCheckpoint(const Relation& database) {
     return seq;
   }
   RELVIEW_RETURN_IF_ERROR(::relview::WriteCheckpoint(
-      CheckpointPath(seq), database, seq,
-      options_.columnar_checkpoints ? CheckpointFormat::kColumnar
-                                    : CheckpointFormat::kRows));
+      CheckpointPath(seq), database, seq, CheckpointFormat::kRows));
   last_checkpoint_seq_.store(seq, std::memory_order_relaxed);
   checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   checkpoint_seqs_.push_back(seq);

@@ -52,8 +52,7 @@ class ViewTranslator;
 /// Tuning and placement knobs for a DurableStore.
 struct StoreOptions {
   /// Directory holding segments and checkpoints; created if absent.
-  /// Empty disables the store (UpdateService then runs un-journaled or
-  /// with the legacy single-file journal).
+  /// Empty disables the store (UpdateService then runs in-memory).
   std::string dir;
   /// Rotate to a fresh segment once the active one holds at least this
   /// many records. A batch is never split across segments.
@@ -63,11 +62,6 @@ struct StoreOptions {
   uint64_t checkpoint_every = 0;
   /// Newest valid checkpoints kept after compaction (>= 1).
   int keep_checkpoints = 2;
-  /// Write new checkpoints in the columnar dictionary-page format
-  /// (rvckpt2, see checkpoint.h) instead of one row of raw ids per line.
-  /// Recovery auto-detects the format per file, so this can be toggled on
-  /// a live store without migrating old checkpoints.
-  bool columnar_checkpoints = false;
 };
 
 /// What recovery found and did; exposed for operators (shell `recover`,
@@ -109,15 +103,12 @@ class DurableStore {
   /// The options the store was opened with.
   const StoreOptions& options() const { return options_; }
 
-  /// Appends one committed batch to the active segment (rotating first if
-  /// it is full) and fsyncs. On success the store's sequence number
-  /// advances by updates.size().
-  Status Append(const std::vector<ViewUpdate>& updates);
-
-  /// Appends one batch WITHOUT fsyncing it — the group-commit staging
-  /// half. The batch is not durable until a later Sync() returns OK, so
-  /// callers must not acknowledge it yet. Like every other mutator this
-  /// is writer-serialized (one appender at a time), but it is safe to run
+  /// Appends one batch to the active segment (rotating first if it is
+  /// full) WITHOUT fsyncing it — the group-commit staging half. On success
+  /// the store's sequence number advances by updates.size(), but the batch
+  /// is not durable until a later Sync() returns OK, so callers must not
+  /// acknowledge it yet. Like every other mutator this is
+  /// writer-serialized (one appender at a time), but it is safe to run
   /// concurrently with Sync() from a commit-leader thread: rotation (the
   /// only operation that swaps the active segment handle) excludes Sync
   /// via an internal mutex, and a full segment is fsync'd before being
@@ -130,7 +121,9 @@ class DurableStore {
   /// thread; serialized internally against rotation and other Sync calls.
   /// Skips the fsync entirely when nothing was appended since the last
   /// Sync. A failed fsync poisons the underlying journal (see
-  /// Journal::Sync); the store must be reopened to continue.
+  /// Journal::Sync); the store must be reopened to continue. This is the
+  /// one fsync-failure policy: truncating the failed batch instead is
+  /// unsafe once other batches may sit unsynced behind it.
   /// Failpoints: "commit.crash_before_sync" / "commit.crash_after_sync"
   /// (crash-armed, for the sharded torture test) plus Journal::Sync's
   /// "commit.fsync".
@@ -149,11 +142,11 @@ class DurableStore {
 
   // The counter accessors below are safe from any thread: the fields are
   // relaxed atomics, mutated only by the single writer (the service
-  // serializes Append / WriteCheckpoint behind its writer mutex) but read
-  // lock-free by telemetry scrapes. A scrape may observe a mid-batch
-  // combination (e.g. seq_ advanced, segment count not yet), which is fine
-  // for monitoring; everything else on this class needs the external
-  // writer serialization documented above.
+  // serializes AppendUnsynced / WriteCheckpoint behind its writer mutex)
+  // but read lock-free by telemetry scrapes. A scrape may observe a
+  // mid-batch combination (e.g. seq_ advanced, segment count not yet),
+  // which is fine for monitoring; everything else on this class needs the
+  // external writer serialization documented above.
 
   /// Accepted records since the seed (checkpointed + journaled).
   uint64_t seq() const { return seq_.load(std::memory_order_relaxed); }

@@ -3,12 +3,14 @@
 /// ViewTranslator.
 ///
 /// Concurrency model — single writer, many readers:
-///   * Writers (Apply / ApplyBatch) are serialized by a writer mutex and
-///     drive the translator's check-and-apply mutators directly, so the
+///   * Writers (Apply / ApplyBatch) stage under a writer mutex and drive
+///     the translator's check-and-apply mutators directly, so the
 ///     incremental engine's view index and base-chase fixpoint stay warm
 ///     across the whole stream. A batch saves the database relation first
 ///     and reinstalls it on any rejection, so the committed state (and
 ///     every outstanding snapshot) is untouched unless the batch commits.
+///     The journal fsync runs after the writer mutex is released (group
+///     commit, see ApplyBatch), so the next batch stages meanwhile.
 ///   * Readers call Snapshot() and get an immutable, versioned view of the
 ///     database and its X-projection behind shared_ptrs. Publishing a new
 ///     version is a pointer swap under a short exclusive lock, so readers
@@ -18,21 +20,20 @@
 /// Batches are all-or-nothing: if any update in the batch is rejected, the
 /// staged copy is discarded, the committed state is untouched, and the
 /// BatchResult reports which update failed and why (the Theorem 3/8/9
-/// verdict). On success the batch is journaled (fsync'd) *before* the new
-/// state is published — see journal.h for why replay is sound.
+/// verdict). With a durable store, a batch is journaled and fsync'd
+/// *before* the new state is published — see journal.h for why replay is
+/// sound.
 
 #ifndef RELVIEW_SERVICE_UPDATE_SERVICE_H_
 #define RELVIEW_SERVICE_UPDATE_SERVICE_H_
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/provenance.h"
 #include "obs/telemetry.h"
-#include "service/journal.h"
 #include "service/metrics.h"
 #include "service/recovery.h"
 #include "service/update.h"
@@ -57,13 +58,12 @@ struct ViewSnapshot {
 /// event (obs/wide_event.h) reads one struct regardless of topology.
 struct BatchTimings {
   int64_t stage_nanos = 0;     ///< Translatability checks + staging.
-  int64_t append_nanos = 0;    ///< Journal append (fsync excluded when
-                               ///< group commit defers it).
+  int64_t append_nanos = 0;    ///< Journal append (the fsync is not in
+                               ///< it; see commit_wait_nanos).
   int64_t commit_wait_nanos = 0;  ///< Waiting for / running the cohort
-                                  ///< fsync (or the inline fsync's share
-                                  ///< of append on the non-grouped path).
-  uint64_t cohort_batches = 0;  ///< Cohort size this batch rode in
-                                ///< (0 = no group commit involved).
+                                  ///< fsync.
+  uint64_t cohort_batches = 0;  ///< Size of the cohort whose fsync this
+                                ///< thread led (0 = it led none).
   bool led_cohort = false;      ///< This thread ran the cohort fsync.
   // Fan-out attribution, filled by ShardedService::ApplyBatch:
   uint64_t shard_mask = 0;   ///< Bit i set = shard i received updates.
@@ -89,32 +89,18 @@ struct BatchResult {
 
 /// Persistence configuration for UpdateService::Create.
 struct ServiceOptions {
-  /// When non-empty, accepted updates are write-ahead journaled here and
-  /// any existing records are replayed against the seed state on Create.
-  /// Legacy single-file mode: no rotation, no checkpoints; prefer
-  /// `store.dir` for anything long-running.
-  std::string journal_path;
   /// When store.dir is non-empty, the service persists through a
-  /// DurableStore instead: rotated journal segments plus periodic
-  /// checkpoints, recovered on Create as newest-valid-checkpoint +
-  /// journal-suffix replay. Mutually exclusive with journal_path.
+  /// DurableStore: rotated journal segments plus periodic checkpoints,
+  /// recovered on Create as newest-valid-checkpoint + journal-suffix
+  /// replay. Empty runs in-memory (no journal, nothing to fsync).
   StoreOptions store;
-  /// Cross-batch group commit (requires store.dir): concurrent ApplyBatch
-  /// callers stage and append under the writer mutex but defer the fsync
-  /// to a commit *leader* — the first waiter to find no leader active
-  /// fsyncs once for every batch appended so far and wakes the whole
-  /// cohort. Each caller is still acknowledged only after its own records
-  /// are durable; what changes is that one fsync can cover many batches
-  /// (fsyncs/batch < 1 under concurrency). With a single writer thread the
-  /// path degenerates to fsync-per-batch, same as the default.
-  bool group_commit = false;
   /// Optional leader gathering window in microseconds: before sampling
   /// its cohort the leader sleeps this long so more concurrent batches
   /// can append behind it. 0 (default) syncs immediately — concurrency
   /// alone already forms cohorts because appends accumulate while the
   /// previous leader's fsync is in flight.
   uint32_t group_window_us = 0;
-  /// Group-commit stall watchdog: when > 0, a waiter stuck behind an
+  /// Commit stall watchdog: when > 0, a waiter stuck behind an
   /// active leader for longer than this deadline (a hung fsync, a leader
   /// descheduled mid-cohort) bumps relview_commit_stalls_total and forces
   /// a "commit_stall" wide event through the sampler — once per leader
@@ -127,9 +113,9 @@ struct ServiceOptions {
 /// (with `ServiceOptions::store`) checkpointed crash recovery.
 class UpdateService {
  public:
-  /// Wraps a bound translator. When options name a journal, existing
-  /// records are replayed first (recovering a previous incarnation's
-  /// state) and the journal is opened for appending.
+  /// Wraps a bound translator. With options.store.dir set, the store is
+  /// opened first and recovers a previous incarnation's state into the
+  /// translator (checkpoint + journal suffix).
   static Result<std::unique_ptr<UpdateService>> Create(
       ViewTranslator translator, ServiceOptions options = {});
 
@@ -150,8 +136,17 @@ class UpdateService {
   /// batch advances the version by exactly 1. On rejection the returned
   /// status carries the batch position (Status::batch_index()), matching
   /// BatchResult::failed_index.
+  ///
+  /// The one write path (group commit): stage, append the records
+  /// without fsync and build the snapshot under writer_mu_; release it;
+  /// wait in AwaitDurable until a leader fsync covers the records; only
+  /// then count the commit and publish. Concurrent callers share one
+  /// fsync per cohort, and a lone writer makes a cohort of one, which is
+  /// fsync-per-batch. Without a store the append and the wait are
+  /// skipped. A failed fsync poisons the service's commit path: that
+  /// batch and every later one fail until the store is reopened.
   BatchResult ApplyBatch(const std::vector<ViewUpdate>& updates)
-      RELVIEW_EXCLUDES(writer_mu_);
+      RELVIEW_EXCLUDES(writer_mu_, commit_mu_);
 
   /// Forces a checkpoint of the committed state at the current sequence
   /// number (then compacts fully-covered journal segments). Serialized
@@ -161,8 +156,8 @@ class UpdateService {
   Result<uint64_t> Checkpoint() RELVIEW_EXCLUDES(writer_mu_);
 
   /// The durable store backing this service, or null when running
-  /// un-journaled / with the legacy single-file journal. Exposes recovery
-  /// info, sequence numbers and compaction counters.
+  /// in-memory. Exposes recovery info, sequence numbers and compaction
+  /// counters.
   const DurableStore* store() const { return store_.get(); }
 
   /// Accept/reject counters and latency histograms for this service.
@@ -197,9 +192,9 @@ class UpdateService {
   /// `service="..."` labels).
   void RegisterTelemetry(TelemetryRegistry* registry,
                          const std::string& section = "service",
-                         int shard = -1) const RELVIEW_EXCLUDES(writer_mu_);
+                         int shard = -1) const;
 
-  /// Number of journal records replayed during Create (0 without journal).
+  /// Number of journal records replayed during Create (0 without a store).
   uint64_t replayed_updates() const { return metrics_.replayed(); }
 
   /// The attribute universe U (immutable after Create).
@@ -210,19 +205,12 @@ class UpdateService {
   const AttrSet& complement_attrs() const { return complement_attrs_; }
 
  private:
-  UpdateService(ViewTranslator translator, std::optional<Journal> journal,
-                std::unique_ptr<DurableStore> store, bool group_commit,
-                uint32_t group_window_us, uint32_t commit_stall_ms);
+  UpdateService(ViewTranslator translator,
+                std::unique_ptr<DurableStore> store, uint32_t group_window_us,
+                uint32_t commit_stall_ms);
 
   /// Checkpoint body; caller holds writer_mu_.
   Result<uint64_t> CheckpointLocked() RELVIEW_REQUIRES(writer_mu_);
-
-  /// The group-commit write path (see ServiceOptions::group_commit):
-  /// stage + append-without-fsync under writer_mu_, then wait in
-  /// AwaitDurable until a leader fsync covers this batch's records, and
-  /// only then count the commit and publish the pre-built snapshot.
-  BatchResult ApplyBatchGrouped(const std::vector<ViewUpdate>& updates)
-      RELVIEW_EXCLUDES(writer_mu_, commit_mu_);
 
   /// Blocks until every store record up to `target` is fsync'd (returns
   /// OK), electing this thread as commit leader whenever none is active:
@@ -244,18 +232,16 @@ class UpdateService {
   std::shared_ptr<const ViewSnapshot> BuildSnapshotLocked(uint64_t version)
       RELVIEW_REQUIRES(writer_mu_);
 
-  /// Installs `snap` unless a newer version is already published. Used by
-  /// the group-commit path, where acked waiters can reach the publish
-  /// step out of version order; snapshots are cumulative (each holds the
-  /// full database), so installing only the newest is correct.
+  /// Installs `snap` unless a newer version is already published. Acked
+  /// writers can reach the publish step out of version order; snapshots
+  /// are cumulative (each holds the full database), so installing only
+  /// the newest is correct.
   void PublishIfNewer(std::shared_ptr<const ViewSnapshot> snap)
       RELVIEW_EXCLUDES(snapshot_mu_);
 
   /// Builds the Prometheus families for RegisterTelemetry's collector.
   /// Runs inside the metrics seqlock read protocol; pure reads only.
-  std::vector<MetricFamily> CollectFamilies(
-      const DurableStore* store, const LatencyHistogram* journal_fsync,
-      const LatencyHistogram* store_fsync) const;
+  std::vector<MetricFamily> CollectFamilies() const;
 
   /// Checks `u` and, when translatable, applies it to the translator in
   /// place (maintaining the engine's caches). Records metrics and pushes a
@@ -265,31 +251,22 @@ class UpdateService {
   Status StageOne(const ViewUpdate& u, int batch_index, std::string* detail,
                   bool* mutated) RELVIEW_REQUIRES(writer_mu_);
 
-  void Publish(uint64_t version) RELVIEW_REQUIRES(writer_mu_)
-      RELVIEW_EXCLUDES(snapshot_mu_);
-
   // Writer-side authoritative state; mutated only under writer_mu_.
   mutable Mutex writer_mu_;
   ViewTranslator translator_ RELVIEW_GUARDED_BY(writer_mu_);
-  std::optional<Journal> journal_ RELVIEW_GUARDED_BY(writer_mu_);
-  // The pointer itself is fixed at construction (store() hands it out
-  // lock-free); the *pointee's* mutating operations are writer-serialized.
-  // Its counter accessors are relaxed atomics, safe from any thread — the
-  // telemetry lambdas read them through a pointer copied out under the
-  // lock in RegisterTelemetry.
-  std::unique_ptr<DurableStore> store_ RELVIEW_PT_GUARDED_BY(writer_mu_);
+  /// Null for an in-memory service. The pointer is fixed at construction
+  /// (store() hands it out lock-free). Its appends and checkpoints run
+  /// under writer_mu_; Sync() is internally synchronized and is the one
+  /// call the commit leader makes without writer_mu_; its counter
+  /// accessors are relaxed atomics, safe from any thread (telemetry).
+  const std::unique_ptr<DurableStore> store_;
   uint64_t version_ RELVIEW_GUARDED_BY(writer_mu_) = 0;
 
-  // Group-commit coordination (ApplyBatchGrouped / AwaitDurable). The
-  // commit mutex is taken only with writer_mu_ *released* — writers stage
-  // under writer_mu_, drop it, then coordinate durability here, which is
-  // what lets batch K+1 stage while batch K's fsync is in flight.
-  const bool group_commit_;
+  // Group-commit coordination (AwaitDurable). The commit mutex is taken
+  // for durability only with writer_mu_ *released* — writers stage under
+  // writer_mu_, drop it, then coordinate durability here, which is what
+  // lets batch K+1 stage while batch K's fsync is in flight.
   const uint32_t group_window_us_;
-  /// Raw pointer to *store_, fixed at construction: the commit leader
-  /// fsyncs through it without writer_mu_ (DurableStore::Sync is
-  /// internally synchronized). Null unless group_commit_ is set.
-  DurableStore* const group_store_;
   mutable Mutex commit_mu_ RELVIEW_ACQUIRED_AFTER(writer_mu_);
   mutable CondVar commit_cv_;
   /// Highest store sequence number any waiter has appended (the next
@@ -329,8 +306,9 @@ class UpdateService {
   // published_version_ is the lock-free fast-path gate: readers re-take
   // the shared lock only when the version actually changed (see
   // Snapshot()), so a reader herd neither serializes on the rwlock word
-  // nor starves the writer's exclusive acquisition. Publish runs with
-  // writer_mu_ held and briefly takes snapshot_mu_, never the reverse.
+  // nor starves the writer's exclusive acquisition. PublishIfNewer runs
+  // after writer_mu_ is released; nothing takes writer_mu_ while holding
+  // snapshot_mu_.
   mutable SharedMutex snapshot_mu_ RELVIEW_ACQUIRED_AFTER(writer_mu_);
   std::shared_ptr<const ViewSnapshot> snapshot_ RELVIEW_GUARDED_BY(snapshot_mu_);
   std::atomic<uint64_t> published_version_{0};

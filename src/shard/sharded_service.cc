@@ -45,9 +45,6 @@ Result<std::unique_ptr<ShardedService>> ShardedService::Create(
     return Status::InvalidArgument("ShardedServiceOptions.shards must be "
                                    ">= 1");
   }
-  if (options.group_commit && options.store_root.empty()) {
-    options.group_commit = false;  // in-memory: no fsync to amortize
-  }
   ShardRouter router(u, x, y, options.shards);
   std::vector<std::unique_ptr<UpdateService>> shards;
   shards.reserve(static_cast<size_t>(options.shards));
@@ -68,7 +65,6 @@ Result<std::unique_ptr<ShardedService>> ShardedService::Create(
       if (options.rotate_records != 0) {
         svc.store.rotate_records = options.rotate_records;
       }
-      svc.group_commit = options.group_commit;
       svc.group_window_us = options.group_window_us;
       svc.commit_stall_ms = options.commit_stall_ms;
     }

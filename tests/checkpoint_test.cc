@@ -62,7 +62,8 @@ class CheckpointTest : public ::testing::Test {
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
   /// Applies `u` through the translator and journals it via the store —
-  /// what UpdateService does under its writer mutex.
+  /// what UpdateService does under its writer mutex — then fsyncs it, as
+  /// the commit leader of a cohort of one would.
   static void ApplyAndAppend(ViewTranslator* vt, DurableStore* store,
                              const ViewUpdate& u) {
     Status st = u.kind == UpdateKind::kInsert ? vt->Insert(u.t1)
@@ -70,7 +71,8 @@ class CheckpointTest : public ::testing::Test {
                     ? vt->Delete(u.t1)
                     : vt->Replace(u.t1, u.t2);
     ASSERT_TRUE(st.ok()) << u.ToString() << ": " << st.ToString();
-    ASSERT_TRUE(store->Append({u}).ok());
+    ASSERT_TRUE(store->AppendUnsynced({u}).ok());
+    ASSERT_TRUE(store->Sync().ok());
   }
 
   std::string dir_;
@@ -137,8 +139,10 @@ TEST_F(CheckpointTest, ColumnarReadDetectsFlippedBit) {
 }
 
 TEST_F(CheckpointTest, StoreRecoversMixedFormatCheckpoints) {
-  // A store that toggles columnar_checkpoints mid-life keeps recovering:
-  // the newest checkpoint (columnar) is loaded by auto-detection.
+  // The store writes rvckpt1, but recovery auto-detects the format per
+  // file: a directory holding an older row checkpoint and a newer
+  // columnar one (rvckpt2, written here with the free WriteCheckpoint)
+  // recovers from the columnar one.
   ViewTranslator vt = MakeTranslator();
   StoreOptions opts;
   opts.dir = dir_;
@@ -146,25 +150,29 @@ TEST_F(CheckpointTest, StoreRecoversMixedFormatCheckpoints) {
     auto store = DurableStore::Open(opts, &vt);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ApplyAndAppend(&vt, store->get(), ViewUpdate::Insert(Row({4, 10})));
-    ASSERT_TRUE((*store)->WriteCheckpoint(vt.database()).ok());  // row fmt
+    ASSERT_TRUE((*store)->WriteCheckpoint(vt.database()).ok());  // rvckpt1
     ApplyAndAppend(&vt, store->get(), ViewUpdate::Insert(Row({5, 10})));
   }
-  opts.columnar_checkpoints = true;
   {
     ViewTranslator fresh = MakeTranslator();
     auto store = DurableStore::Open(opts, &fresh);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->recovery().checkpoint_seq, 1u);
     EXPECT_TRUE(fresh.database().SameAs(vt.database()));
     ApplyAndAppend(&fresh, store->get(), ViewUpdate::Insert(Row({6, 20})));
-    auto seq = (*store)->WriteCheckpoint(fresh.database());  // columnar
-    ASSERT_TRUE(seq.ok());
+    ASSERT_EQ((*store)->seq(), 3u);
     vt = std::move(fresh);
   }
+  ASSERT_TRUE(WriteCheckpoint(Path("checkpoint-0000000000000003.rvc"),
+                              vt.database(), 3, CheckpointFormat::kColumnar)
+                  .ok());
   {
     ViewTranslator fresh = MakeTranslator();
     auto store = DurableStore::Open(opts, &fresh);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_TRUE((*store)->recovery().used_checkpoint);
+    EXPECT_EQ((*store)->recovery().checkpoint_seq, 3u);
+    EXPECT_EQ((*store)->recovery().replayed, 0u);
     EXPECT_TRUE(fresh.database().SameAs(vt.database()));
   }
 }

@@ -1,15 +1,20 @@
 // Journal durability tests: encode/decode round trips, replay equivalence
 // (a replayed journal reproduces exactly the directly-updated database —
-// fact (ii) in action), torn-tail truncation, and divergence detection.
+// fact (ii) in action), torn-tail truncation, divergence detection, and
+// the fsync-failure policy (a failed Sync poisons the handle). Each test's
+// journal is the first segment of a DurableStore directory, so replay runs
+// through the store's recovery path.
 
 #include "service/journal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "service/recovery.h"
 #include "util/failpoint.h"
 #include "view/translator.h"
 
@@ -38,18 +43,33 @@ ViewTranslator MakeTranslator() {
   return std::move(*vt);
 }
 
+/// Appends `updates` as one batch and makes it durable: the append and
+/// the fsync a lone committer issues.
+Status AppendDurably(Journal* j, const std::vector<ViewUpdate>& updates) {
+  RELVIEW_RETURN_IF_ERROR(j->AppendAllUnsynced(updates));
+  return j->Sync();
+}
+
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "journal_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".log";
-    std::remove(path_.c_str());
+    dir_ = ::testing::TempDir() + "journal_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    path_ = dir_ + "/journal-0000000000000000.log";
   }
   void TearDown() override {
     Failpoints::ClearAll();
-    std::remove(path_.c_str());
+    std::filesystem::remove_all(dir_);
   }
+  /// Recovers the store directory holding the journal into `vt`.
+  Result<std::unique_ptr<DurableStore>> Replay(ViewTranslator* vt) {
+    StoreOptions opts;
+    opts.dir = dir_;
+    return DurableStore::Open(opts, vt);
+  }
+  std::string dir_;
   std::string path_;
 };
 
@@ -85,10 +105,10 @@ TEST_F(JournalTest, AppendThenReadRoundTrip) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-    ASSERT_TRUE(j->AppendAll({ViewUpdate::Delete(Row({4, 10})),
-                              ViewUpdate::Replace(Row({1, 10}),
-                                                  Row({1, 20}))})
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Delete(Row({4, 10})),
+                                    ViewUpdate::Replace(Row({1, 10}),
+                                                        Row({1, 20}))})
                     .ok());
   }
   auto r = Journal::Read(path_);
@@ -118,12 +138,12 @@ TEST_F(JournalTest, ReplayEqualsDirectApplication) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->AppendAll(updates).ok());
+    ASSERT_TRUE(AppendDurably(&*j, updates).ok());
   }
   ViewTranslator replayed = MakeTranslator();
-  auto r = Journal::Replay(path_, &replayed);
+  auto r = Replay(&replayed);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->updates.size(), 4u);
+  EXPECT_EQ((*r)->recovery().replayed, 4u);
   EXPECT_TRUE(replayed.database().SameAs(direct.database()));
 }
 
@@ -131,8 +151,8 @@ TEST_F(JournalTest, TruncatedLastRecordRecoversToLastCompleteRecord) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   }
   // Simulate a torn write: chop bytes off the final record.
   std::ifstream in(path_, std::ios::binary);
@@ -159,7 +179,7 @@ TEST_F(JournalTest, TruncatedLastRecordRecoversToLastCompleteRecord) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Delete(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Delete(Row({4, 10}))}).ok());
   }
   auto final_read = Journal::Read(path_);
   ASSERT_TRUE(final_read.ok());
@@ -171,7 +191,7 @@ TEST_F(JournalTest, CorruptChecksumIsDetected) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
   }
   std::ifstream in(path_, std::ios::binary);
   std::string all((std::istreambuf_iterator<char>(in)),
@@ -195,10 +215,10 @@ TEST_F(JournalTest, ReplayOfInvalidUpdateReturnsInternal) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({1, 20}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({1, 20}))}).ok());
   }
   ViewTranslator vt = MakeTranslator();
-  auto r = Journal::Replay(path_, &vt);
+  auto r = Replay(&vt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }
@@ -210,8 +230,8 @@ TEST_F(JournalTest, OpenVerifiesFinalRecordChecksum) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   }
   // Flip a payload bit of the *final* record, keeping it "complete"
   // (newline-terminated, correct length) — only the checksum can tell.
@@ -235,7 +255,7 @@ TEST_F(JournalTest, OpenVerifiesFinalRecordChecksum) {
   EXPECT_TRUE(r->truncated);
   auto again = Journal::Open(path_);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_TRUE(again->Append(ViewUpdate::Delete(Row({4, 10}))).ok());
+  ASSERT_TRUE(AppendDurably(&*again, {ViewUpdate::Delete(Row({4, 10}))}).ok());
   auto final_read = Journal::Read(path_);
   ASSERT_TRUE(final_read.ok());
   EXPECT_FALSE(final_read->truncated);
@@ -246,7 +266,7 @@ TEST_F(JournalTest, OpenRefusesTornTail) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
   }
   std::ofstream out(path_, std::ios::binary | std::ios::app);
   out << "rv1 57 0123456789abcdef I 2 torn";  // no terminator
@@ -263,34 +283,42 @@ TEST_F(JournalTest, OpenRefusesTornTail) {
   EXPECT_TRUE(Journal::Open(path_).ok());
 }
 
-TEST_F(JournalTest, FailpointFsyncErrorMidBatchFailsAppend) {
-  // fsync reports EIO on the *second* batch. The first lands durably; the
-  // second fails, leaving the service free to roll back.
-  ASSERT_TRUE(Failpoints::Set("journal.fsync", "error@2").ok());
+TEST_F(JournalTest, FailedSyncPoisonsUntilRepairAndReopen) {
+  // fsync reports EIO on the *second* sync. The first batch lands
+  // durably; after the failure the kernel may have dropped the second
+  // batch's dirty pages, so the handle refuses every later append and
+  // sync (a retried fsync could "succeed" without the data). Repair +
+  // reopen restores appends.
+  ASSERT_TRUE(Failpoints::Set("commit.fsync", "error@2").ok());
   auto j = Journal::Open(path_);
   ASSERT_TRUE(j.ok());
-  ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-  Status st = j->AppendAll({ViewUpdate::Insert(Row({5, 20})),
-                            ViewUpdate::Insert(Row({6, 10}))});
+  ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+  ASSERT_TRUE(j->AppendAllUnsynced({ViewUpdate::Insert(Row({5, 20})),
+                                    ViewUpdate::Insert(Row({6, 10}))})
+                  .ok());
+  Status st = j->Sync();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("injected"), std::string::npos);
-  // The failed batch was rolled off the file: its records must not
-  // survive as phantoms that would replay as accepted.
-  {
-    auto r = Journal::Read(path_);
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r->truncated);
-    ASSERT_EQ(r->updates.size(), 1u);
-    EXPECT_TRUE(r->updates[0] == ViewUpdate::Insert(Row({4, 10})));
-  }
-  // Third batch: the failpoint fired its once, real fsync resumes, and
-  // the new record lands at the committed boundary.
-  ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({7, 20}))).ok());
+  EXPECT_GT(j->unsynced_bytes(), 0u);  // the failed batch stays exposed
+  Failpoints::ClearAll();
+  Status again = j->AppendAllUnsynced({ViewUpdate::Insert(Row({7, 20}))});
+  EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(j->Sync().code(), StatusCode::kFailedPrecondition);
+
+  // The unsynced batch may or may not have reached the disk; here it did
+  // (only the fsync was faked). Either way the file ends at a record
+  // boundary, so repair + reopen hands out a working handle again.
+  ASSERT_TRUE(Journal::Read(path_, /*repair=*/true).ok());
+  auto reopened = Journal::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE(
+      AppendDurably(&*reopened, {ViewUpdate::Insert(Row({7, 20}))}).ok());
   auto r = Journal::Read(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated);
-  ASSERT_EQ(r->updates.size(), 2u);
-  EXPECT_TRUE(r->updates[1] == ViewUpdate::Insert(Row({7, 20})));
+  ASSERT_EQ(r->updates.size(), 4u);
+  EXPECT_TRUE(r->updates[0] == ViewUpdate::Insert(Row({4, 10})));
+  EXPECT_TRUE(r->updates[3] == ViewUpdate::Insert(Row({7, 20})));
 }
 
 TEST_F(JournalTest, FailpointShortWritePoisonsHandle) {
@@ -300,11 +328,11 @@ TEST_F(JournalTest, FailpointShortWritePoisonsHandle) {
   // dropped at replay.
   auto j = Journal::Open(path_);
   ASSERT_TRUE(j.ok());
-  ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+  ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
   ASSERT_TRUE(Failpoints::Set("journal.write", "short:3").ok());
-  ASSERT_FALSE(j->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+  ASSERT_FALSE(AppendDurably(&*j, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   Failpoints::ClearAll();
-  Status st = j->Append(ViewUpdate::Insert(Row({6, 10})));
+  Status st = AppendDurably(&*j, {ViewUpdate::Insert(Row({6, 10}))});
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   // Repair + reopen restores service; nothing appended through the
@@ -312,7 +340,7 @@ TEST_F(JournalTest, FailpointShortWritePoisonsHandle) {
   ASSERT_TRUE(Journal::Read(path_, /*repair=*/true).ok());
   auto again = Journal::Open(path_);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_TRUE(again->Append(ViewUpdate::Insert(Row({6, 10}))).ok());
+  ASSERT_TRUE(AppendDurably(&*again, {ViewUpdate::Insert(Row({6, 10}))}).ok());
   auto r = Journal::Read(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated);
@@ -334,11 +362,12 @@ TEST_F(JournalTest, OpenAcceptsFinalRecordLargerThanTailWindow) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(big).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {big}).ok());
   }
   auto reopened = Journal::Open(path_);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_TRUE(reopened->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+  ASSERT_TRUE(
+      AppendDurably(&*reopened, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   auto r = Journal::Read(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated);
@@ -354,9 +383,9 @@ TEST_F(JournalTest, FailpointShortWriteOnLengthPrefixRepairsAndReplays) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
     ASSERT_TRUE(Failpoints::Set("journal.write", "short:3").ok());
-    Status st = j->Append(ViewUpdate::Insert(Row({5, 20})));
+    Status st = AppendDurably(&*j, {ViewUpdate::Insert(Row({5, 20}))});
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.ToString().find("short write"), std::string::npos);
     Failpoints::ClearAll();
@@ -366,10 +395,11 @@ TEST_F(JournalTest, FailpointShortWriteOnLengthPrefixRepairsAndReplays) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
 
   ViewTranslator replayed = MakeTranslator();
-  auto r = Journal::Replay(path_, &replayed);  // repairs the tail, too
+  auto r = Replay(&replayed);  // repairs the tail, too
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r->truncated);
-  ASSERT_EQ(r->updates.size(), 1u);
+  ASSERT_EQ((*r)->recovery().warnings.size(), 1u);  // the torn tail
+  EXPECT_EQ((*r)->recovery().replayed, 1u);
+  r->reset();  // release the segment before reopening it standalone
 
   ViewTranslator direct = MakeTranslator();
   ASSERT_TRUE(direct.Insert(Row({4, 10})).ok());
@@ -381,7 +411,7 @@ TEST_F(JournalTest, FailpointWriteErrorLeavesFileUntouched) {
   ASSERT_TRUE(Failpoints::Set("journal.write", "error").ok());
   auto j = Journal::Open(path_);
   ASSERT_TRUE(j.ok());
-  Status st = j->Append(ViewUpdate::Insert(Row({4, 10})));
+  Status st = AppendDurably(&*j, {ViewUpdate::Insert(Row({4, 10}))});
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("injected"), std::string::npos);
   auto r = Journal::Read(path_);
@@ -396,7 +426,7 @@ TEST_F(JournalTest, ReplayRequiresBoundTranslator) {
   sigma.fds = *FDSet::Parse(u, "A -> B");
   auto vt = ViewTranslator::Create(u, sigma, u.SetOf("A B"), u.SetOf("B"));
   ASSERT_TRUE(vt.ok());
-  auto r = Journal::Replay(path_, &*vt);
+  auto r = Replay(&*vt);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }

@@ -119,8 +119,10 @@ struct KillPoint {
   const char* action;
 };
 constexpr KillPoint kKillPoints[] = {
-    {"service.crash_before_journal", "crash"},
+    {"commit.crash_before_append", "crash"},
     {"journal.crash_after_write", "crash"},
+    {"commit.crash_before_sync", "crash"},
+    {"commit.crash_after_sync", "crash"},
     {"service.crash_before_publish", "crash"},
     {"checkpoint.crash_before_rename", "crash"},
     {"checkpoint.crash_after_rename", "crash"},
@@ -242,7 +244,7 @@ TEST(RecoveryTortureTest, RandomizedKillPointsRecoverToOracle) {
 
 // ---------------------------------------------------------------------
 // Sharded variant: the same randomized-kill discipline against a
-// ShardedService with the group-commit journal path — N data directories,
+// ShardedService with a commit gathering window — N data directories,
 // one journal per shard, crash sites including the commit queue's own
 // failpoints (unsynced append, before/after the cohort fsync). The
 // recovered COMPOSITE state must match a per-shard lockstep oracle: the
@@ -367,7 +369,6 @@ TEST(RecoveryTortureTest, ShardedGroupCommitRecoversToPerShardOracles) {
     options.store_root = dir;
     options.checkpoint_every = 5;
     options.rotate_records = 7;
-    options.group_commit = true;
     options.group_window_us = 100;
 
     const pid_t pid = fork();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 namespace relview {
@@ -179,10 +180,10 @@ TEST(UpdateServiceTest, MetricsCountAcceptedAndRejectedPerKind) {
 }
 
 TEST(UpdateServiceTest, JournaledServiceRecoversStateOnRestart) {
-  const std::string path = ::testing::TempDir() + "service_recover.log";
-  std::remove(path.c_str());
+  const std::string dir = ::testing::TempDir() + "service_recover_store";
+  std::filesystem::remove_all(dir);
   ServiceOptions options;
-  options.journal_path = path;
+  options.store.dir = dir;
   {
     auto service = MakeService(options);
     ASSERT_TRUE(service->Apply(ViewUpdate::Insert(Row({4, 10}))).ok());
@@ -202,17 +203,19 @@ TEST(UpdateServiceTest, JournaledServiceRecoversStateOnRestart) {
   EXPECT_EQ(snap.database->size(), 4);
   // And the revived service keeps journaling.
   ASSERT_TRUE(reborn->Apply(ViewUpdate::Delete(Row({5, 20}))).ok());
+  reborn.reset();
   auto third = MakeService(options);
   EXPECT_EQ(third->replayed_updates(), 4u);
   EXPECT_FALSE(third->Snapshot().view->ContainsRow(Row({5, 20})));
-  std::remove(path.c_str());
+  third.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(UpdateServiceTest, RejectedBatchIsNotJournaled) {
-  const std::string path = ::testing::TempDir() + "service_no_journal.log";
-  std::remove(path.c_str());
+  const std::string dir = ::testing::TempDir() + "service_no_journal_store";
+  std::filesystem::remove_all(dir);
   ServiceOptions options;
-  options.journal_path = path;
+  options.store.dir = dir;
   {
     auto service = MakeService(options);
     EXPECT_FALSE(service
@@ -223,7 +226,8 @@ TEST(UpdateServiceTest, RejectedBatchIsNotJournaled) {
   auto reborn = MakeService(options);
   EXPECT_EQ(reborn->replayed_updates(), 0u);
   EXPECT_EQ(reborn->Snapshot().view->size(), 3);
-  std::remove(path.c_str());
+  reborn.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -203,18 +203,21 @@ TEST(JournalFsyncTest, AppendRecordsFsyncLatency) {
   ASSERT_TRUE(journal.ok());
   EXPECT_EQ(journal->fsync_latency()->count(), 0u);
   Tuple t(std::vector<Value>{Value::Const(1), Value::Const(2)});
-  ASSERT_TRUE(journal->Append(ViewUpdate::Insert(t)).ok());
+  ASSERT_TRUE(journal->AppendAllUnsynced({ViewUpdate::Insert(t)}).ok());
+  ASSERT_TRUE(journal->Sync().ok());
   EXPECT_EQ(journal->fsync_latency()->count(), 1u);
-  // Group commit: one fsync for the whole batch.
-  ASSERT_TRUE(journal
-                  ->AppendAll({ViewUpdate::Delete(t), ViewUpdate::Insert(t)})
-                  .ok());
+  // Group commit: one fsync for two appended batches.
+  ASSERT_TRUE(journal->AppendAllUnsynced({ViewUpdate::Delete(t)}).ok());
+  ASSERT_TRUE(journal->AppendAllUnsynced({ViewUpdate::Insert(t)}).ok());
+  EXPECT_EQ(journal->fsync_latency()->count(), 1u);
+  ASSERT_TRUE(journal->Sync().ok());
   EXPECT_EQ(journal->fsync_latency()->count(), 2u);
   EXPECT_GT(journal->fsync_latency()->total_nanos(), 0u);
   // The histogram handle survives a move of the journal.
   auto held = journal->fsync_latency();
   Journal moved = std::move(*journal);
-  ASSERT_TRUE(moved.Append(ViewUpdate::Insert(t)).ok());
+  ASSERT_TRUE(moved.AppendAllUnsynced({ViewUpdate::Insert(t)}).ok());
+  ASSERT_TRUE(moved.Sync().ok());
   EXPECT_EQ(held->count(), 3u);
   std::remove(path.c_str());
 }

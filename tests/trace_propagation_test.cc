@@ -226,7 +226,6 @@ TEST_F(TracePropagationTest, TwoShardGroupedBatchRendersOneSpanTree) {
   spec.depts = 8;
   spec.shards = 2;
   spec.store_root = store_root;
-  spec.group_commit = true;
   StartServer(spec);
 
   // Two fresh employees whose departments route to DIFFERENT shards
@@ -467,7 +466,6 @@ TEST(CommitStallWatchdogTest, SlowCohortFsyncForcesStallReport) {
   ShardedServiceOptions options;
   options.shards = 1;
   options.store_root = store_root;
-  options.group_commit = true;
   options.commit_stall_ms = 1;
   auto svc = ShardedService::Create(*u, sigma, u->SetOf("Emp Dept"),
                                     u->SetOf("Dept Mgr"), seed, options);

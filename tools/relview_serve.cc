@@ -9,8 +9,8 @@
 // Usage:
 //   relview_serve [--host=127.0.0.1] [--port=0] [--tenants=4] [--emps=64]
 //                 [--depts=8] [--store=DIR] [--checkpoint-every=N]
-//                 [--shards=1] [--group-commit=0|1] [--group-window-us=N]
-//                 [--commit-stall-ms=N] [--max-connections=64]
+//                 [--shards=1] [--group-window-us=N] [--commit-stall-ms=N]
+//                 [--max-connections=64]
 //                 [--max-write-queue=8] [--deadline-ms=5000]
 //                 [--idle-timeout-ms=5000] [--drain-timeout-ms=5000]
 //                 [--workers=0] [--trace-sample=N] [--wide-events=N]
@@ -18,10 +18,10 @@
 //
 // --shards=N partitions each tenant's write path into N shard-local
 // services behind the deterministic t[X∩Y]-hash router (src/shard/).
-// --group-commit defaults to on when --shards > 1 and a --store is set:
-// concurrent writers on one shard then share a single fsync per commit
-// cohort. --group-window-us adds a leader gathering window (0 = ack as
-// soon as the leader's fsync covers the cohort).
+// With --store, every shard commits through group commit: concurrent
+// writers on one shard share a single fsync per commit cohort, and a lone
+// writer makes a cohort of one. --group-window-us adds a leader gathering
+// window (0 = ack as soon as the leader's fsync covers the cohort).
 //
 // Prints "listening on HOST:PORT" once ready (port resolved if 0) and
 // serves until SIGTERM/SIGINT, which starts a graceful drain: in-flight
@@ -41,8 +41,10 @@
 // group-commit stall watchdog on every shard.
 //
 // Fault injection: RELVIEW_FAILPOINTS is honoured (util/failpoint.h),
-// e.g. RELVIEW_FAILPOINTS="journal.fsync=error" turns every write into a
-// 503 durability refusal without taking the process down.
+// e.g. RELVIEW_FAILPOINTS="commit.fsync=error" turns every write into a
+// 503 durability refusal without taking the process down. A failed fsync
+// poisons the shard's store: its writes keep refusing until the process is
+// restarted on the same --store, which recovers every acknowledged batch.
 
 #include <csignal>
 #include <cstdio>
@@ -106,9 +108,6 @@ int main(int argc, char** argv) {
   spec.checkpoint_every =
       static_cast<uint64_t>(IntFlag(argc, argv, "checkpoint-every", 0));
   spec.shards = IntFlag(argc, argv, "shards", 1);
-  spec.group_commit =
-      IntFlag(argc, argv, "group-commit",
-              spec.shards > 1 && !spec.store_root.empty() ? 1 : 0) != 0;
   spec.group_window_us =
       static_cast<uint32_t>(IntFlag(argc, argv, "group-window-us", 0));
   spec.commit_stall_ms =
@@ -174,11 +173,10 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &sa, nullptr);
 
   std::printf(
-      "listening on %s:%d (%d tenants, %u emps x %u depts, %d shard%s%s%s%s)"
+      "listening on %s:%d (%d tenants, %u emps x %u depts, %d shard%s%s%s)"
       "\n",
       options.host.c_str(), (*server)->port(), spec.tenants, spec.emps,
       spec.depts, spec.shards, spec.shards == 1 ? "" : "s",
-      spec.group_commit ? ", group-commit" : "",
       spec.store_root.empty() ? ", in-memory" : ", store=",
       spec.store_root.c_str());
   std::fflush(stdout);
